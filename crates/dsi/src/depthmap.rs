@@ -145,23 +145,26 @@ impl DepthMap {
         let r = size / 2;
         let mut out = self.clone();
         let mut window: Vec<f64> = Vec::with_capacity(size * size);
+        let w = self.width;
         for y in 0..self.height {
-            for x in 0..self.width {
-                if !self.is_valid(x, y) {
+            for x in 0..w {
+                if !self.depth[y * w + x].is_finite() {
                     continue;
                 }
                 window.clear();
+                let (x0, x1) = (x.saturating_sub(r), (x + r).min(w - 1));
                 for dy in y.saturating_sub(r)..=(y + r).min(self.height - 1) {
-                    for dx in x.saturating_sub(r)..=(x + r).min(self.width - 1) {
-                        let d = self.depth(dx, dy);
-                        if d.is_finite() {
-                            window.push(d);
-                        }
-                    }
+                    let row = &self.depth[dy * w + x0..=dy * w + x1];
+                    window.extend(row.iter().copied().filter(|d| d.is_finite()));
                 }
-                window.sort_by(|a, b| a.partial_cmp(b).expect("depths are finite"));
-                let median = window[window.len() / 2];
-                out.set(x, y, median, self.confidence(x, y));
+                // Only the middle order statistic is needed; depths are
+                // finite and positive, so the selected value is the one a
+                // full sort would put there, bit for bit.
+                let mid = window.len() / 2;
+                let (_, &mut median, _) = window.select_nth_unstable_by(mid, |a, b| {
+                    a.partial_cmp(b).expect("depths are finite")
+                });
+                out.depth[y * w + x] = median;
             }
         }
         out
@@ -324,6 +327,46 @@ mod tests {
         let filtered = dm.median_filtered(3);
         assert_eq!(filtered.valid_count(), 1);
         assert!(!filtered.is_valid(0, 0));
+    }
+
+    #[test]
+    fn median_filter_selects_the_sorted_window_median() {
+        // Scattered valid pixels with repeated depths, every window size up
+        // to 7, against the full-sort definition.
+        let (w, h) = (9, 7);
+        let mut dm = DepthMap::new(w, h).unwrap();
+        for i in 0..w * h {
+            if i % 3 != 1 {
+                dm.set(i % w, i / w, 1.0 + ((i * 37) % 11) as f64 * 0.25, 1.0);
+            }
+        }
+        for size in [1, 3, 5, 7] {
+            let filtered = dm.median_filtered(size);
+            let r = size / 2;
+            for y in 0..h {
+                for x in 0..w {
+                    if !dm.is_valid(x, y) {
+                        assert!(!filtered.is_valid(x, y));
+                        continue;
+                    }
+                    let mut window: Vec<f64> = (y.saturating_sub(r)..=(y + r).min(h - 1))
+                        .flat_map(|dy| {
+                            (x.saturating_sub(r)..=(x + r).min(w - 1)).map(move |dx| (dx, dy))
+                        })
+                        .map(|(dx, dy)| dm.depth(dx, dy))
+                        .filter(|d| d.is_finite())
+                        .collect();
+                    window.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    let median = window[window.len() / 2];
+                    assert_eq!(
+                        filtered.depth(x, y).to_bits(),
+                        median.to_bits(),
+                        "size {size}"
+                    );
+                    assert_eq!(filtered.confidence(x, y), dm.confidence(x, y));
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,10 +71,31 @@ pub trait VoxelScore:
     fn read_le(bytes: &[u8]) -> Self;
 }
 
-mod private {
-    pub trait Sealed {}
-    impl Sealed for f32 {}
-    impl Sealed for u16 {}
+pub(crate) mod private {
+    use crate::detection::{self, ConfidenceMap};
+    use crate::volume::DsiVolume;
+    use eventor_fixed::kernel::batch::Dispatch;
+
+    /// Seals [`VoxelScore`](super::VoxelScore) to `f32` and `u16` and
+    /// carries each type's body of the detection stage's depth collapse.
+    pub trait Sealed: Sized {
+        /// [`confidence_map`](crate::confidence_map) of `dsi` on `tier`.
+        fn collapse_planes(dsi: &DsiVolume<Self>, tier: Dispatch) -> ConfidenceMap
+        where
+            Self: super::VoxelScore;
+    }
+
+    impl Sealed for f32 {
+        fn collapse_planes(dsi: &DsiVolume<Self>, _: Dispatch) -> ConfidenceMap {
+            detection::collapse_generic(dsi)
+        }
+    }
+
+    impl Sealed for u16 {
+        fn collapse_planes(dsi: &DsiVolume<Self>, tier: Dispatch) -> ConfidenceMap {
+            detection::collapse_u16(dsi, tier)
+        }
+    }
 }
 
 impl VoxelScore for f32 {
@@ -140,8 +161,9 @@ impl VoxelScore for u16 {
 /// of `width × height` pixels and [`DepthPlanes::len`] depth slices.
 ///
 /// Voxels are stored plane-major (`[plane][row][col]`): the vote stage writes
-/// one plane at a time, and the detection stage strides across planes per
-/// pixel.
+/// one plane at a time, and the detection stage reads the volume once in the
+/// same order, folding each plane slab into per-pixel accumulators
+/// ([`confidence_map`](crate::confidence_map)).
 ///
 /// # Examples
 ///
@@ -634,21 +656,6 @@ impl<S: VoxelScore> DsiVolume<S> {
     pub fn total_score(&self) -> f64 {
         self.data.iter().map(|s| s.as_f64()).sum()
     }
-
-    /// For one pixel, the best (maximum-score) plane index and its score.
-    #[inline]
-    pub fn best_plane(&self, x: usize, y: usize) -> (usize, f64) {
-        let mut best_plane = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for plane in 0..self.planes.len() {
-            let s = self.data[self.index(x, y, plane)].as_f64();
-            if s > best_score {
-                best_score = s;
-                best_plane = plane;
-            }
-        }
-        (best_plane, best_score)
-    }
 }
 
 #[cfg(test)]
@@ -751,17 +758,6 @@ mod tests {
         assert_eq!(dsi.total_score(), 0.0);
         assert_eq!(dsi.votes_cast(), 0);
         assert_eq!(dsi.votes_missed(), 0);
-    }
-
-    #[test]
-    fn best_plane_finds_argmax() {
-        let mut dsi = DsiVolume::<f32>::new(8, 8, planes(5)).unwrap();
-        dsi.vote_nearest(3.0, 4.0, 2, 3.0);
-        dsi.vote_nearest(3.0, 4.0, 4, 1.0);
-        let (plane, score) = dsi.best_plane(3, 4);
-        assert_eq!(plane, 2);
-        assert_eq!(score, 3.0);
-        assert_eq!(dsi.max_score(), 3.0);
     }
 
     #[test]

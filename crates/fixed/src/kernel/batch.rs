@@ -14,6 +14,12 @@
 //! | `Swar`     | `swar`               | two products per 64×64→128 widening multiply (48-bit packed fields) |
 //! | `Scalar`   | `scalar`             | the scalar kernel in a loop — the always-available reference |
 //!
+//! One face serves the detection stage rather than the MAC datapath:
+//! [`plane_collapse_batch`] folds a plane-major `u16` DSI into per-pixel
+//! maximum, first argmax and sum. Its tiers share one portable, branchless
+//! body; `Scalar` and `Swar` run it at the baseline target (SSE2 on
+//! x86-64) and `Simd` compiles it with AVX2 enabled.
+//!
 //! The tier is selected **once per session** ([`active`]): the
 //! [`EVENTOR_KERNEL_DISPATCH`](DISPATCH_ENV) environment variable
 //! (`scalar`/`swar`/`simd`, a typed [`DispatchError`] on anything else or
@@ -481,6 +487,116 @@ pub fn transfer_nearest_batch_with(
     }
 }
 
+/// The most depth planes [`plane_collapse_batch`] accepts: plane indices
+/// travel as `u16` and per-pixel sums as `u32`, and `2¹⁶ · u16::MAX` still
+/// fits a `u32`.
+pub const COLLAPSE_MAX_PLANES: usize = 1 << 16;
+
+/// Pixels per chunk of the plane collapse: the chunk's accumulators
+/// (8 B/pixel) and the slab row being folded (2 B/pixel) stay L1-resident
+/// while the planes stream past.
+const COLLAPSE_CHUNK: usize = 256;
+
+/// Per-pixel result of [`plane_collapse_batch`], row-major.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PlaneCollapse {
+    /// Maximum score along depth.
+    pub best: Vec<u16>,
+    /// First plane holding the maximum score.
+    pub plane: Vec<u16>,
+    /// Sum of the scores over every plane.
+    pub sum: Vec<u32>,
+}
+
+/// The depth collapse of scene-structure detection over a plane-major `u16`
+/// score array (`scores.len() / slab_len` slabs of `slab_len` pixels): per
+/// pixel the maximum score, the *first* plane reaching it, and the sum over
+/// all planes. `out` is resized to `slab_len` and every element overwritten.
+///
+/// The volume is read once, in storage order: pixels are folded in
+/// `COLLAPSE_CHUNK`-sized chunks, each streaming its slice of every slab.
+/// The per-pixel update is branchless in the narrow types (`u16` max, a
+/// `u16` plane select under a compare mask, a `u32` sum), which is the form
+/// the vectorizer turns into lane operations.
+///
+/// # Panics
+///
+/// When `slab_len` is zero, `scores.len()` is not a multiple of it, or the
+/// volume holds more than [`COLLAPSE_MAX_PLANES`] planes.
+pub fn plane_collapse_batch(scores: &[u16], slab_len: usize, out: &mut PlaneCollapse) {
+    plane_collapse_batch_with(active(), scores, slab_len, out);
+}
+
+/// [`plane_collapse_batch`] with an explicit tier (panics if unsupported).
+pub fn plane_collapse_batch_with(
+    tier: Dispatch,
+    scores: &[u16],
+    slab_len: usize,
+    out: &mut PlaneCollapse,
+) {
+    assert_supported(tier);
+    assert!(
+        slab_len > 0 && scores.len().is_multiple_of(slab_len),
+        "score array is not a whole number of slabs"
+    );
+    assert!(
+        scores.len() / slab_len <= COLLAPSE_MAX_PLANES,
+        "plane collapse holds at most {COLLAPSE_MAX_PLANES} planes"
+    );
+    out.best.resize(slab_len, 0);
+    out.plane.resize(slab_len, 0);
+    out.sum.resize(slab_len, 0);
+    match tier {
+        Dispatch::Scalar | Dispatch::Swar => plane_collapse_body(
+            scores,
+            slab_len,
+            &mut out.best,
+            &mut out.plane,
+            &mut out.sum,
+        ),
+        Dispatch::Simd => simd::collapse(scores, slab_len, out),
+    }
+}
+
+/// The portable body of [`plane_collapse_batch`], shared by every tier;
+/// the SIMD tier compiles it under its wider target features.
+#[inline(always)]
+fn plane_collapse_body(
+    scores: &[u16],
+    slab_len: usize,
+    best: &mut [u16],
+    plane: &mut [u16],
+    sum: &mut [u32],
+) {
+    for start in (0..slab_len).step_by(COLLAPSE_CHUNK) {
+        let end = (start + COLLAPSE_CHUNK).min(slab_len);
+        let (best, plane, sum) = (
+            &mut best[start..end],
+            &mut plane[start..end],
+            &mut sum[start..end],
+        );
+        best.fill(0);
+        plane.fill(0);
+        sum.fill(0);
+        for (p, slab) in scores.chunks_exact(slab_len).enumerate() {
+            // Plane 0 with all-zero scores keeps index 0, so starting from
+            // a zero maximum equals folding from plane 0's scores.
+            let p = p as u16;
+            for (((&v, b), pl), s) in slab[start..end]
+                .iter()
+                .zip(best.iter_mut())
+                .zip(plane.iter_mut())
+                .zip(sum.iter_mut())
+            {
+                let m = ((*b < v) as u16).wrapping_neg();
+                *b = (*b).max(v);
+                *pl = (*pl & !m) | (p & m);
+                *s += v as u32;
+            }
+        }
+    }
+}
+
 /// One scalar transfer producing a slab index — the definition the wide
 /// tiers must match. Identical to
 /// [`transfer_nearest`](super::transfer_nearest) + `address()` for the
@@ -830,6 +946,30 @@ mod simd {
         }
     }
 
+    pub(super) fn collapse(scores: &[u16], slab_len: usize, out: &mut PlaneCollapse) {
+        assert_avx2();
+        // SAFETY: `assert_avx2` above checked that the CPU supports AVX2,
+        // the only requirement of calling the `target_feature` function.
+        unsafe { collapse_avx2(scores, slab_len, out) }
+    }
+
+    /// The portable collapse body with AVX2 enabled: 16 `u16` lanes per
+    /// max/compare/select and 8 `u32` lanes per sum.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. The body itself is safe code.
+    #[target_feature(enable = "avx2")]
+    unsafe fn collapse_avx2(scores: &[u16], slab_len: usize, out: &mut PlaneCollapse) {
+        plane_collapse_body(
+            scores,
+            slab_len,
+            &mut out.best,
+            &mut out.plane,
+            &mut out.sum,
+        );
+    }
+
     pub(super) fn plane_mac(scale: i32, offset: i32, cs: &[i16], out: &mut Vec<i64>) {
         assert_avx2();
         unsafe { plane_mac_avx2(scale, offset, cs, out) }
@@ -1115,6 +1255,19 @@ mod simd {
         }
     }
 
+    /// NEON is part of the `aarch64` baseline, so the portable collapse
+    /// body already compiles to NEON lanes.
+    pub(super) fn collapse(scores: &[u16], slab_len: usize, out: &mut PlaneCollapse) {
+        assert_neon();
+        plane_collapse_body(
+            scores,
+            slab_len,
+            &mut out.best,
+            &mut out.plane,
+            &mut out.sum,
+        );
+    }
+
     pub(super) fn plane_mac(scale: i32, offset: i32, cs: &[i16], out: &mut Vec<i64>) {
         assert_neon();
         unsafe { plane_mac_neon(scale, offset, cs, out) }
@@ -1170,6 +1323,10 @@ mod simd {
     }
 
     pub(super) fn plane_mac(_: i32, _: i32, _: &[i16], _: &mut Vec<i64>) {
+        unreachable!("SIMD tier is unsupported on this architecture");
+    }
+
+    pub(super) fn collapse(_: &[u16], _: usize, _: &mut PlaneCollapse) {
         unreachable!("SIMD tier is unsupported on this architecture");
     }
 
@@ -1315,6 +1472,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-pixel definition of the plane collapse: strict `>` keeps
+    /// the first plane of a tie.
+    fn collapse_reference(scores: &[u16], slab_len: usize) -> PlaneCollapse {
+        let mut out = PlaneCollapse::default();
+        for px in 0..slab_len {
+            let (mut best, mut plane, mut sum) = (scores[px], 0u16, 0u32);
+            for (p, slab) in scores.chunks_exact(slab_len).enumerate() {
+                if slab[px] > best {
+                    best = slab[px];
+                    plane = p as u16;
+                }
+                sum += slab[px] as u32;
+            }
+            out.best.push(best);
+            out.plane.push(plane);
+            out.sum.push(sum);
+        }
+        out
+    }
+
+    #[test]
+    fn every_tier_collapses_planes_like_the_per_pixel_loop() {
+        // Slab lengths around the chunk size and the lane widths, ties
+        // across planes, saturated scores and all-zero pixels; small enough
+        // for Miri to interpret.
+        for (slab_len, planes) in [(1, 1), (1, 7), (3, 5), (17, 3), (255, 2), (257, 4)] {
+            let scores: Vec<u16> = (0..slab_len * planes)
+                .map(|i| match (i * 7919) % 11 {
+                    0 => u16::MAX,
+                    1 | 2 => 0,
+                    k => (k as u16 % 4) * 100,
+                })
+                .collect();
+            let expect = collapse_reference(&scores, slab_len);
+            for tier in supported_tiers() {
+                // A stale, wrongly sized output must be fully overwritten.
+                let mut got = PlaneCollapse {
+                    best: vec![9; 3],
+                    plane: vec![9; 3],
+                    sum: vec![9; 3],
+                };
+                plane_collapse_batch_with(tier, &scores, slab_len, &mut got);
+                assert_eq!(got, expect, "tier {} {slab_len}x{planes}", tier.name());
+            }
+        }
+    }
+
+    #[test]
+    fn plane_collapse_sum_is_exact_at_the_plane_bound() {
+        // COLLAPSE_MAX_PLANES saturated planes: the largest sum the u32
+        // accumulator must hold, and the last plane index a u16 carries.
+        let scores = vec![u16::MAX; COLLAPSE_MAX_PLANES];
+        let mut got = PlaneCollapse::default();
+        plane_collapse_batch_with(Dispatch::Scalar, &scores, 1, &mut got);
+        assert_eq!(got.sum, [COLLAPSE_MAX_PLANES as u32 * u16::MAX as u32]);
+        assert_eq!((got.best[0], got.plane[0]), (u16::MAX, 0));
+        let mut rising: Vec<u16> = vec![0; COLLAPSE_MAX_PLANES];
+        rising[COLLAPSE_MAX_PLANES - 1] = 1;
+        plane_collapse_batch_with(Dispatch::Scalar, &rising, 1, &mut got);
+        assert_eq!(got.plane, [u16::MAX]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn plane_collapse_rejects_more_planes_than_a_u16_index_holds() {
+        let scores = vec![0u16; COLLAPSE_MAX_PLANES + 1];
+        plane_collapse_batch_with(Dispatch::Scalar, &scores, 1, &mut PlaneCollapse::default());
     }
 
     #[test]
